@@ -9,7 +9,8 @@
 //! This module exists to *prove* the resilience machinery: that an
 //! injected simplex breakdown aborts the solve with a structured error,
 //! that a worker panic degrades the search instead of crashing the
-//! process, and that every rung of the layout escalation ladder fires.
+//! process, that a warm start failing its residual check falls back to a
+//! cold solve with the same answer, and that every rung of the layout escalation ladder fires.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -24,6 +25,9 @@ pub enum Fault {
     WorkerPanic,
     /// The node behaves as if the wall-clock budget just expired.
     Timeout,
+    /// The node's warm re-optimized LP result fails its residual check,
+    /// forcing the worker onto the cold-restart path.
+    WarmResidual,
 }
 
 /// Panic payload used by [`Fault::WorkerPanic`], so tests can tell an
@@ -61,6 +65,7 @@ pub fn arm(fault: Fault, at_node: usize) -> FaultGuard {
         Fault::SimplexNumerical => 1,
         Fault::WorkerPanic => 2,
         Fault::Timeout => 3,
+        Fault::WarmResidual => 4,
     };
     KIND.store(code, Ordering::SeqCst);
     FaultGuard { _lock: lock }
@@ -72,6 +77,7 @@ pub(crate) fn armed_at(node: usize) -> Option<Fault> {
         1 => Fault::SimplexNumerical,
         2 => Fault::WorkerPanic,
         3 => Fault::Timeout,
+        4 => Fault::WarmResidual,
         _ => return None,
     };
     (node >= AT_NODE.load(Ordering::SeqCst)).then_some(fault)

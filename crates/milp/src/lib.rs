@@ -6,10 +6,12 @@
 //!
 //! * a [`Model`] builder with continuous, integer and binary variables,
 //!   linear constraints and a linear objective;
-//! * a bounded-variable two-phase primal simplex for the LP relaxations
-//!   (Bland's-rule anti-cycling fallback, periodic refactorisation);
+//! * a bounded-variable simplex for the LP relaxations: a two-phase primal
+//!   for cold solves (Bland's-rule anti-cycling fallback) and a dual simplex
+//!   that re-optimizes a kept optimal tableau after bound changes;
 //! * branch & bound with best-bound node selection, most-fractional
-//!   branching, warm-start incumbents and time/node limits;
+//!   branching, one warm tableau per worker, warm-start incumbents and
+//!   time/node limits;
 //! * big-M style disjunctive constraints (the "exactly one relative
 //!   position" pattern that dominates the layout models) expressed through
 //!   ordinary binaries.

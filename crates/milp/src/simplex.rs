@@ -1,4 +1,5 @@
-//! Bounded-variable two-phase primal simplex.
+//! Bounded-variable simplex: a two-phase primal for cold solves and a dual
+//! simplex that re-optimizes a kept optimal tableau after bound changes.
 //!
 //! Operates on the *computational form* `min cᵀx  s.t.  Ax = b, l ≤ x ≤ u`
 //! obtained by adding one slack column per constraint row. Phase 1 introduces
@@ -7,6 +8,15 @@
 //! variables may *bound-flip* without a basis change. Dantzig pricing is used
 //! until a long degenerate streak triggers Bland's rule, which guarantees
 //! termination.
+//!
+//! An optimal [`Tableau`] stays dual feasible when structural bounds change,
+//! since its reduced costs do not depend on them. [`Tableau::reoptimize`]
+//! exploits that: it moves each changed nonbasic column to the bound its
+//! reduced cost prefers, then runs dual simplex pivots (largest bound
+//! violation leaves, dual ratio test picks the entering column) until the
+//! basis is primal feasible again or the LP is proven infeasible. Branch and
+//! bound children differ from their parent by one bound, so this usually
+//! takes a handful of pivots instead of a cold solve's thousands.
 
 use crate::cancel::CancelToken;
 use crate::model::Sense;
@@ -15,8 +25,13 @@ use crate::model::Sense;
 const PIVOT_TOL: f64 = 1e-9;
 /// Reduced-cost optimality tolerance.
 const COST_TOL: f64 = 1e-9;
+/// Primal feasibility tolerance of a basic value, relative to `1 + |bound|`.
+const PRIMAL_TOL: f64 = 1e-9;
 /// Consecutive degenerate pivots before switching to Bland's rule.
 const DEGENERATE_STREAK: usize = 400;
+/// Dual pivots beyond the row count before a warm re-optimization gives up
+/// (the dual cycling guard); the caller then solves cold.
+const DUAL_PIVOT_SLACK: usize = 1_000;
 
 /// One constraint row in sparse form, already brought to `Σ aᵢxᵢ (sense) rhs`.
 #[derive(Debug, Clone)]
@@ -50,19 +65,24 @@ pub(crate) enum LpOutcome {
     Unbounded,
     /// The caller's deadline expired mid-solve.
     TimedOut,
-    /// Numerical breakdown (cycling guard or residual check failed).
+    /// Numerical breakdown (cycling guard, residual or bound check failed).
+    /// From [`Tableau::reoptimize`] it also means the warm start could not
+    /// continue; the caller falls back to a cold solve.
     Numerical(String),
 }
 
-/// Solves `lp`, returning the outcome and the iteration count. When
+/// Solves `lp` cold, returning the outcome and the iteration count. When
 /// `cancel` is set, the solve aborts with [`LpOutcome::TimedOut`] once the
 /// token fires — via its deadline or an explicit [`CancelToken::cancel`]
 /// (checked every few hundred pivots).
 pub(crate) fn solve_lp(lp: &Lp, cancel: Option<&CancelToken>) -> (LpOutcome, usize) {
-    Tableau::new(lp).run(lp, cancel.cloned())
+    Tableau::new(lp, &lp.lb, &lp.ub).run(lp, cancel)
 }
 
-struct Tableau {
+/// A dense simplex tableau. After [`Tableau::run`] returns
+/// [`LpOutcome::Optimal`] it holds an optimal basis that
+/// [`Tableau::reoptimize`] can start from.
+pub(crate) struct Tableau {
     m: usize,
     /// total columns: structural + slacks + artificials
     ncols: usize,
@@ -86,17 +106,19 @@ struct Tableau {
 }
 
 impl Tableau {
-    fn new(lp: &Lp) -> Tableau {
+    /// The phase-1 starting tableau of `lp` with structural bounds
+    /// `lb..ub` in place of `lp.lb..lp.ub`.
+    pub(crate) fn new(lp: &Lp, lb: &[f64], ub: &[f64]) -> Tableau {
         let m = lp.rows.len();
-        let n_struct = lp.lb.len();
+        let n_struct = lb.len();
 
         // nonbasic start: structural at the finite bound of smaller magnitude
         let mut x0 = vec![0.0; n_struct];
         let mut at_upper_struct = vec![false; n_struct];
         for (j, x) in x0.iter_mut().enumerate() {
-            *x = lp.lb[j];
-            if lp.ub[j].is_finite() && lp.ub[j].abs() < x.abs() {
-                *x = lp.ub[j];
+            *x = lb[j];
+            if ub[j].is_finite() && ub[j].abs() < x.abs() {
+                *x = ub[j];
                 at_upper_struct[j] = true;
             }
         }
@@ -129,20 +151,20 @@ impl Tableau {
         let ncols = n_struct + m + n_art;
 
         let mut t = vec![0.0; m * ncols];
-        let mut lb = Vec::with_capacity(ncols);
-        let mut ub = Vec::with_capacity(ncols);
-        lb.extend_from_slice(&lp.lb);
-        ub.extend_from_slice(&lp.ub);
+        let mut col_lb = Vec::with_capacity(ncols);
+        let mut col_ub = Vec::with_capacity(ncols);
+        col_lb.extend_from_slice(lb);
+        col_ub.extend_from_slice(ub);
         for row in &lp.rows {
-            lb.push(0.0);
-            ub.push(match row.sense {
+            col_lb.push(0.0);
+            col_ub.push(match row.sense {
                 Sense::Le | Sense::Ge => f64::INFINITY,
                 Sense::Eq => 0.0,
             });
         }
         for _ in 0..n_art {
-            lb.push(0.0);
-            ub.push(f64::INFINITY);
+            col_lb.push(0.0);
+            col_ub.push(f64::INFINITY);
         }
 
         let mut at_upper = vec![false; ncols];
@@ -194,8 +216,8 @@ impl Tableau {
             basis,
             in_basis,
             at_upper,
-            lb,
-            ub,
+            lb: col_lb,
+            ub: col_ub,
             d: vec![0.0; ncols],
             degenerate_streak: 0,
             iterations: 0,
@@ -221,6 +243,17 @@ impl Tableau {
         }
     }
 
+    /// Value of a nonbasic column: the bound it rests at.
+    fn nonbasic_value(&self, j: usize) -> f64 {
+        if self.at_upper[j] {
+            self.ub[j]
+        } else if self.lb[j].is_finite() {
+            self.lb[j]
+        } else {
+            0.0
+        }
+    }
+
     /// Current value of a column (basic value or resting bound).
     fn col_value(&self, j: usize) -> f64 {
         if self.in_basis[j] {
@@ -230,26 +263,28 @@ impl Tableau {
                 }
             }
             unreachable!("column flagged basic but absent from basis");
-        } else if self.at_upper[j] {
-            self.ub[j]
-        } else if self.lb[j].is_finite() {
-            self.lb[j]
-        } else {
-            0.0
         }
+        self.nonbasic_value(j)
     }
 
-    /// Runs phase 1 then phase 2.
-    fn run(mut self, lp: &Lp, cancel: Option<CancelToken>) -> (LpOutcome, usize) {
+    /// True once the cancel token has fired.
+    fn cancelled(&self) -> bool {
+        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+    }
+
+    /// Runs phase 1 then phase 2 from the starting tableau. On
+    /// [`LpOutcome::Optimal`] the tableau is left at the optimal basis, ready
+    /// for [`Tableau::reoptimize`].
+    pub(crate) fn run(&mut self, lp: &Lp, cancel: Option<&CancelToken>) -> (LpOutcome, usize) {
         let max_iters = 200 * (self.m + self.ncols) + 20_000;
-        self.cancel = cancel;
+        self.cancel = cancel.cloned();
 
         // ---- phase 1: minimise sum of artificials ----
         let mut p1_span = columba_obs::span("simplex.phase1");
         let mut c1 = vec![0.0; self.ncols];
         c1[(self.n_struct + self.m)..].fill(1.0);
         self.load_costs(&c1);
-        match self.optimize(&c1, max_iters, true) {
+        match self.optimize(max_iters, true) {
             PhaseEnd::Ok => {}
             PhaseEnd::TimedOut => return (LpOutcome::TimedOut, self.iterations),
             PhaseEnd::Unbounded => {
@@ -286,7 +321,7 @@ impl Tableau {
         c2[..self.n_struct].copy_from_slice(&lp.cost);
         self.load_costs(&c2);
         self.degenerate_streak = 0;
-        match self.optimize(&c2, max_iters, false) {
+        match self.optimize(max_iters, false) {
             PhaseEnd::Ok => {}
             PhaseEnd::TimedOut => return (LpOutcome::TimedOut, self.iterations),
             PhaseEnd::Unbounded => return (LpOutcome::Unbounded, self.iterations),
@@ -300,12 +335,110 @@ impl Tableau {
         p2_span.attr("iterations", self.iterations - p2_start_iters);
         drop(p2_span);
 
-        // extract structural solution
-        let mut x = vec![0.0; self.n_struct];
-        for (j, xj) in x.iter_mut().enumerate() {
-            *xj = self.col_value(j);
+        (self.extract(lp), self.iterations)
+    }
+
+    /// Re-optimizes an optimal tableau of `lp` after its structural bounds
+    /// change to `lb..ub`, returning the outcome and the pivots it took.
+    ///
+    /// Each changed nonbasic column moves to the bound that keeps its
+    /// reduced cost dual feasible, then dual simplex pivots restore primal
+    /// feasibility. Dual unboundedness proves the LP infeasible. The
+    /// tableau stays usable for the next call after an optimal, infeasible
+    /// or timed-out outcome; after [`LpOutcome::Numerical`] — a changed
+    /// column whose dual-feasible bound is infinite, the dual cycling
+    /// guard, or a result failing its residual or bound check — it is not,
+    /// and the caller must solve cold.
+    pub(crate) fn reoptimize(
+        &mut self,
+        lp: &Lp,
+        lb: &[f64],
+        ub: &[f64],
+        cancel: Option<&CancelToken>,
+    ) -> (LpOutcome, usize) {
+        self.cancel = cancel.cloned();
+        for j in 0..self.n_struct {
+            if lb[j] == self.lb[j] && ub[j] == self.ub[j] {
+                continue;
+            }
+            let old = self.nonbasic_value(j);
+            self.lb[j] = lb[j];
+            self.ub[j] = ub[j];
+            if self.in_basis[j] {
+                continue; // a violated basic value is the dual loop's job
+            }
+            // d_j < 0 needs the upper bound and d_j > 0 the lower; a zero
+            // reduced cost keeps its side while that bound is finite
+            let dj = self.d[j];
+            let to_upper = lb[j] < ub[j]
+                && (dj < -COST_TOL || (dj <= COST_TOL && self.at_upper[j] && ub[j].is_finite()));
+            if to_upper && !ub[j].is_finite() {
+                return (
+                    LpOutcome::Numerical(format!("column {j}: dual-feasible bound is infinite")),
+                    0,
+                );
+            }
+            self.at_upper[j] = to_upper;
+            let delta = self.nonbasic_value(j) - old;
+            if delta != 0.0 {
+                let n = self.ncols;
+                for i in 0..self.m {
+                    let a = self.t[i * n + j];
+                    if a != 0.0 {
+                        self.beta[i] -= a * delta;
+                    }
+                }
+            }
         }
-        // verify against original rows (guards against tableau drift)
+
+        let start = self.iterations;
+        let end = self.dual_iterate(self.m + DUAL_PIVOT_SLACK);
+        let pivots = self.iterations - start;
+        match end {
+            DualEnd::Feasible => {}
+            DualEnd::Infeasible => return (LpOutcome::Infeasible, pivots),
+            DualEnd::TimedOut => return (LpOutcome::TimedOut, pivots),
+            DualEnd::IterLimit => {
+                return (
+                    LpOutcome::Numerical("dual simplex pivot limit (cycling?)".into()),
+                    pivots,
+                )
+            }
+        }
+        // primal clean-up: a primal-feasible basis whose reduced costs
+        // drifted past the tolerance takes a few primal pivots (usually none)
+        self.degenerate_streak = 0;
+        let budget = self.iterations + self.m + DUAL_PIVOT_SLACK;
+        let outcome = match self.optimize(budget, false) {
+            PhaseEnd::Ok => self.extract(lp),
+            PhaseEnd::TimedOut => LpOutcome::TimedOut,
+            PhaseEnd::Unbounded => LpOutcome::Unbounded,
+            PhaseEnd::IterLimit => {
+                LpOutcome::Numerical("primal clean-up iteration limit (cycling?)".into())
+            }
+        };
+        (outcome, self.iterations - start)
+    }
+
+    /// Reads the structural solution off an optimal tableau and verifies it
+    /// against `lp`'s rows and the current column bounds, which guards
+    /// against tableau drift.
+    fn extract(&self, lp: &Lp) -> LpOutcome {
+        let mut x: Vec<f64> = (0..self.n_struct).map(|j| self.nonbasic_value(j)).collect();
+        for (&b, &v) in self.basis.iter().zip(&self.beta) {
+            if b < self.n_struct {
+                x[b] = v;
+            }
+        }
+        for (j, &xj) in x.iter().enumerate() {
+            let (l, u) = (self.lb[j], self.ub[j]);
+            let scale = 1.0 + l.abs().max(if u.is_finite() { u.abs() } else { 0.0 });
+            if xj < l - 1e-5 * scale || xj > u + 1e-5 * scale {
+                return LpOutcome::Numerical(format!(
+                    "column {j} at {xj:.6e} outside its bounds [{l:.6e}, {u:.6e}]"
+                ));
+            }
+        }
         for row in &lp.rows {
             let act: f64 = row.terms.iter().map(|&(j, c)| c * x[j]).sum();
             let scale =
@@ -316,14 +449,11 @@ impl Tableau {
                 Sense::Eq => (act - row.rhs).abs(),
             };
             if viol > 1e-5 * scale {
-                return (
-                    LpOutcome::Numerical(format!("residual {viol:.2e} exceeds tolerance")),
-                    self.iterations,
-                );
+                return LpOutcome::Numerical(format!("residual {viol:.2e} exceeds tolerance"));
             }
         }
         let obj: f64 = x.iter().zip(&lp.cost).map(|(xi, ci)| xi * ci).sum();
-        (LpOutcome::Optimal { x, obj }, self.iterations)
+        LpOutcome::Optimal { x, obj }
     }
 
     /// Degenerate pivots to remove artificials from the basis where possible.
@@ -389,18 +519,15 @@ impl Tableau {
         self.beta[r] = new_value;
     }
 
-    /// Primal iterations until optimal / unbounded / iteration limit.
-    fn optimize(&mut self, _c: &[f64], max_iters: usize, phase1: bool) -> PhaseEnd {
+    /// Primal iterations until optimal / unbounded / the absolute iteration
+    /// count `max_iters`.
+    fn optimize(&mut self, max_iters: usize, phase1: bool) -> PhaseEnd {
         loop {
             if self.iterations >= max_iters {
                 return PhaseEnd::IterLimit;
             }
-            if self.iterations.is_multiple_of(256) {
-                if let Some(cancel) = &self.cancel {
-                    if cancel.is_cancelled() {
-                        return PhaseEnd::TimedOut;
-                    }
-                }
+            if self.iterations.is_multiple_of(256) && self.cancelled() {
+                return PhaseEnd::TimedOut;
             }
             let bland = self.degenerate_streak >= DEGENERATE_STREAK;
             // entering column
@@ -535,6 +662,117 @@ impl Tableau {
             }
         }
     }
+
+    /// Dual simplex iterations on a dual-feasible basis until every basic
+    /// value lies within its bounds, the dual proves infeasibility, or
+    /// `max_pivots` pivots pass (the cycling guard).
+    fn dual_iterate(&mut self, max_pivots: usize) -> DualEnd {
+        let n = self.ncols;
+        let mut pivots = 0usize;
+        let mut streak = 0usize;
+        loop {
+            if pivots.is_multiple_of(256) && self.cancelled() {
+                return DualEnd::TimedOut;
+            }
+            let bland = streak >= DEGENERATE_STREAK;
+            // leaving row: the largest bound violation (Bland: the
+            // violated row whose basic column has the smallest index)
+            let mut leave: Option<(usize, f64, bool)> = None; // (row, violation, below)
+            for i in 0..self.m {
+                let b = self.basis[i];
+                let (l, u, v) = (self.lb[b], self.ub[b], self.beta[i]);
+                let (viol, below) = if v < l - PRIMAL_TOL * (1.0 + l.abs()) {
+                    (l - v, true)
+                } else if u.is_finite() && v > u + PRIMAL_TOL * (1.0 + u.abs()) {
+                    (v - u, false)
+                } else {
+                    continue;
+                };
+                let better = match leave {
+                    None => true,
+                    Some((r, worst, _)) => {
+                        if bland {
+                            b < self.basis[r]
+                        } else {
+                            viol > worst
+                        }
+                    }
+                };
+                if better {
+                    leave = Some((i, viol, below));
+                }
+            }
+            let Some((r, _, below)) = leave else {
+                return DualEnd::Feasible;
+            };
+            if pivots >= max_pivots {
+                return DualEnd::IterLimit;
+            }
+
+            // entering column: dual ratio test min |d_j / α_rj| over the
+            // non-fixed nonbasic columns that move x_B[r] toward its bound
+            // (a below-bound row rises when x_j rises with α < 0 or falls
+            // with α > 0; an above-bound row the other way round)
+            let mut enter: Option<(usize, f64)> = None; // (col, ratio)
+            for j in 0..(self.n_struct + self.m) {
+                if self.in_basis[j] || self.lb[j] == self.ub[j] {
+                    continue;
+                }
+                let a = self.t[r * n + j];
+                if a.abs() <= PIVOT_TOL {
+                    continue;
+                }
+                let rises = !self.at_upper[j];
+                if below != (rises == (a < 0.0)) {
+                    continue;
+                }
+                // dual feasibility: d_j ≥ 0 at lower, ≤ 0 at upper; clamp
+                // tolerance-sized drift to a zero ratio
+                let dj = if rises { self.d[j] } else { -self.d[j] };
+                let ratio = dj.max(0.0) / a.abs();
+                let better = match enter {
+                    None => true,
+                    Some((k, best)) => {
+                        ratio < best - 1e-12
+                            || (ratio <= best + 1e-12
+                                && !bland
+                                && a.abs() > self.t[r * n + k].abs())
+                    }
+                };
+                if better {
+                    enter = Some((j, ratio));
+                }
+            }
+            let Some((j, ratio)) = enter else {
+                return DualEnd::Infeasible; // dual unbounded
+            };
+
+            // primal step: x_j moves so x_B[r] lands on its violated bound
+            let b = self.basis[r];
+            let target = if below { self.lb[b] } else { self.ub[b] };
+            let a = self.t[r * n + j];
+            let step = (self.beta[r] - target) / a;
+            for i in 0..self.m {
+                if i != r {
+                    let f = self.t[i * n + j];
+                    if f != 0.0 {
+                        self.beta[i] -= f * step;
+                    }
+                }
+            }
+            let entering_value = self.nonbasic_value(j) + step;
+            self.at_upper[b] = !below;
+            self.pivot(r, j, entering_value);
+            self.at_upper[j] = false;
+            pivots += 1;
+            self.iterations += 1;
+            if ratio <= 1e-12 {
+                streak += 1;
+            } else {
+                streak = 0;
+            }
+        }
+    }
 }
 
 enum PhaseEnd {
@@ -544,9 +782,17 @@ enum PhaseEnd {
     TimedOut,
 }
 
+enum DualEnd {
+    Feasible,
+    Infeasible,
+    IterLimit,
+    TimedOut,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use columba_prng::Rng;
 
     fn lp(lb: &[f64], ub: &[f64], cost: &[f64], rows: Vec<Row>) -> Lp {
         Lp {
@@ -722,5 +968,232 @@ mod tests {
         assert!((x[0] - 2.0).abs() < 1e-6);
         assert!(x[1].abs() < 1e-6);
         assert!((obj - 2.0).abs() < 1e-6);
+    }
+
+    // -- warm re-optimization --
+
+    /// Cold solve under bounds `lb..ub`, keeping the tableau.
+    fn cold(lp: &Lp, lb: &[f64], ub: &[f64]) -> (LpOutcome, Tableau) {
+        let mut t = Tableau::new(lp, lb, ub);
+        let (outcome, _) = t.run(lp, None);
+        (outcome, t)
+    }
+
+    #[test]
+    fn reoptimize_without_changes_takes_no_pivots() {
+        let p = lp(
+            &[0.0, 0.0],
+            &[3.0, 2.0],
+            &[-1.0, -2.0],
+            vec![row(&[(0, 1.0), (1, 1.0)], Sense::Le, 4.0)],
+        );
+        let (_, mut t) = cold(&p, &p.lb, &p.ub);
+        let (outcome, pivots) = t.reoptimize(&p, &p.lb, &p.ub, None);
+        assert_eq!(pivots, 0);
+        let LpOutcome::Optimal { obj, .. } = outcome else {
+            panic!("{outcome:?}");
+        };
+        assert!((obj + 6.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn reoptimize_follows_a_tightened_bound_and_proves_infeasibility() {
+        // min -x - 2y s.t. x + y <= 4, x <= 3, y <= 2, x + y >= 1
+        let p = lp(
+            &[0.0, 0.0],
+            &[3.0, 2.0],
+            &[-1.0, -2.0],
+            vec![
+                row(&[(0, 1.0), (1, 1.0)], Sense::Le, 4.0),
+                row(&[(0, 1.0), (1, 1.0)], Sense::Ge, 1.0),
+            ],
+        );
+        let (_, mut t) = cold(&p, &p.lb, &p.ub);
+        // y <= 1: optimum moves to x = 3, y = 1
+        let (outcome, _) = t.reoptimize(&p, &[0.0, 0.0], &[3.0, 1.0], None);
+        let LpOutcome::Optimal { x, obj } = outcome else {
+            panic!("{outcome:?}");
+        };
+        assert!(
+            (x[0] - 3.0).abs() < 1e-9 && (x[1] - 1.0).abs() < 1e-9,
+            "{x:?}"
+        );
+        assert!((obj + 5.0).abs() < 1e-9);
+        // x, y <= 0.25 contradicts x + y >= 1
+        let (outcome, _) = t.reoptimize(&p, &[0.0, 0.0], &[0.25, 0.25], None);
+        assert!(matches!(outcome, LpOutcome::Infeasible), "{outcome:?}");
+        // the tableau stays usable after proving infeasibility
+        let (outcome, _) = t.reoptimize(&p, &p.lb, &p.ub, None);
+        let LpOutcome::Optimal { obj, .. } = outcome else {
+            panic!("{outcome:?}");
+        };
+        assert!((obj + 6.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn reoptimize_reports_an_infinite_dual_feasible_bound() {
+        // min -x s.t. x <= 10 via its bound: x rests at its upper bound
+        // with a negative reduced cost, so relaxing that bound to infinity
+        // leaves no dual-feasible place for it
+        let p = lp(
+            &[0.0, 0.0],
+            &[10.0, 1.0],
+            &[-1.0, 0.0],
+            vec![row(&[(0, 1.0), (1, 1.0)], Sense::Ge, 0.5)],
+        );
+        let (_, mut t) = cold(&p, &p.lb, &p.ub);
+        let (outcome, _) = t.reoptimize(&p, &p.lb, &[f64::INFINITY, 1.0], None);
+        assert!(matches!(outcome, LpOutcome::Numerical(_)), "{outcome:?}");
+    }
+
+    /// A random LP shaped like the layout models: unit coordinates in a
+    /// bounded chip, a chip-extent column the objective pays for, big-M
+    /// non-overlap disjunctions with relaxed binary indicators and an
+    /// "exactly one relative position" equality per unit pair, occasional
+    /// alignment equalities, and duplicated (degenerate) rows.
+    fn layout_like_lp(rng: &mut Rng) -> Lp {
+        let units = rng.gen_range(2usize..5);
+        let chip = 10.0 + rng.gen_range(0i64..30) as f64;
+        let widths: Vec<f64> = (0..units)
+            .map(|_| 1.0 + rng.gen_range(0i64..5) as f64)
+            .collect();
+        let big_m = chip + 6.0;
+        // columns: coordinates, extent, then two indicators per pair
+        let extent = units;
+        let mut lb = vec![0.0; units + 1];
+        let mut ub = vec![chip; units + 1];
+        let mut cost: Vec<f64> = (0..units)
+            .map(|_| rng.gen_range(0i64..3) as f64 * 0.1)
+            .collect();
+        cost.push(1.0);
+        let mut rows = Vec::new();
+        for (a, &w) in widths.iter().enumerate() {
+            // x_a + w_a <= extent
+            rows.push(row(&[(a, 1.0), (extent, -1.0)], Sense::Le, -w));
+        }
+        for a in 0..units {
+            for b in (a + 1)..units {
+                let (qab, qba) = (lb.len(), lb.len() + 1);
+                for _ in 0..2 {
+                    lb.push(0.0);
+                    ub.push(1.0);
+                    cost.push(0.0);
+                }
+                // x_a + w_a <= x_b + M (1 - q_ab), and the mirror image
+                rows.push(row(
+                    &[(a, 1.0), (b, -1.0), (qab, big_m)],
+                    Sense::Le,
+                    big_m - widths[a],
+                ));
+                rows.push(row(
+                    &[(b, 1.0), (a, -1.0), (qba, big_m)],
+                    Sense::Le,
+                    big_m - widths[b],
+                ));
+                rows.push(row(&[(qab, 1.0), (qba, 1.0)], Sense::Eq, 1.0));
+                if rng.gen_bool(0.2) {
+                    rows.push(row(&[(a, 1.0), (b, -1.0)], Sense::Eq, 0.0));
+                }
+            }
+        }
+        for _ in 0..rng.gen_range(0usize..3) {
+            let k = rng.gen_range(0..rows.len());
+            let mut dup = rows[k].clone();
+            if rng.gen_bool(0.5) {
+                for t in &mut dup.terms {
+                    t.1 *= 2.0;
+                }
+                dup.rhs *= 2.0;
+            }
+            rows.push(dup);
+        }
+        Lp { lb, ub, cost, rows }
+    }
+
+    /// One random bound step: tighten a column (an indicator fixed like a
+    /// branch, a coordinate window narrowed) or relax one or all columns
+    /// back to the LP's own bounds.
+    fn random_bound_step(rng: &mut Rng, p: &Lp, lb: &mut [f64], ub: &mut [f64]) {
+        let j = rng.gen_range(0..lb.len());
+        match rng.gen_range(0usize..5) {
+            0 | 1 if p.ub[j] == 1.0 && j > 0 && p.cost[j] == 0.0 => {
+                let v = if rng.gen_bool(0.5) { 0.0 } else { 1.0 };
+                lb[j] = v;
+                ub[j] = v;
+            }
+            0 | 1 => {
+                let lo = lb[j] + (ub[j] - lb[j]) * rng.gen_f64() * 0.5;
+                let hi = ub[j] - (ub[j] - lo) * rng.gen_f64() * 0.5;
+                lb[j] = lo.floor().max(lb[j]);
+                ub[j] = hi.ceil().min(ub[j]).max(lb[j]);
+            }
+            2 => {
+                // a branch-style cut through the current value range
+                let mid = ((lb[j] + ub[j]) / 2.0).floor();
+                if rng.gen_bool(0.5) {
+                    ub[j] = mid.max(lb[j]);
+                } else {
+                    lb[j] = (mid + 1.0).min(ub[j]);
+                }
+            }
+            3 => {
+                lb[j] = p.lb[j];
+                ub[j] = p.ub[j];
+            }
+            _ => {
+                lb.copy_from_slice(&p.lb);
+                ub.copy_from_slice(&p.ub);
+            }
+        }
+    }
+
+    /// Differential oracle: after every step of a random sequence of bound
+    /// tightenings and relaxations, re-optimizing one kept tableau agrees
+    /// with a fresh cold solve on status and, when optimal, on objective
+    /// to 1e-7 relative.
+    #[test]
+    fn reoptimize_matches_cold_solves_on_layout_like_lps() {
+        let mut rng = Rng::seed_from_u64(0xD0A1);
+        let (mut optimal, mut infeasible, mut pivots) = (0usize, 0usize, 0usize);
+        for case in 0..60 {
+            let p = layout_like_lp(&mut rng);
+            let (root, mut hot) = cold(&p, &p.lb, &p.ub);
+            assert!(
+                matches!(root, LpOutcome::Optimal { .. }),
+                "case {case}: root {root:?}"
+            );
+            let (mut lb, mut ub) = (p.lb.clone(), p.ub.clone());
+            for step in 0..40 {
+                random_bound_step(&mut rng, &p, &mut lb, &mut ub);
+                let (warm, taken) = hot.reoptimize(&p, &lb, &ub, None);
+                pivots += taken;
+                let (fresh, _) = cold(&p, &lb, &ub);
+                match (&warm, &fresh) {
+                    (LpOutcome::Optimal { obj: w, x }, LpOutcome::Optimal { obj: c, .. }) => {
+                        optimal += 1;
+                        assert!(
+                            (w - c).abs() <= 1e-7 * c.abs().max(1.0),
+                            "case {case} step {step}: warm {w} vs cold {c}"
+                        );
+                        for (j, &v) in x.iter().enumerate() {
+                            assert!(
+                                v >= lb[j] - 1e-7 && v <= ub[j] + 1e-7,
+                                "case {case} step {step}: x[{j}] = {v} outside [{}, {}]",
+                                lb[j],
+                                ub[j]
+                            );
+                        }
+                    }
+                    (LpOutcome::Infeasible, LpOutcome::Infeasible) => infeasible += 1,
+                    _ => panic!("case {case} step {step}: warm {warm:?} vs cold {fresh:?}"),
+                }
+            }
+        }
+        // the families must exercise both outcomes and real dual work
+        assert!(
+            optimal > 1000 && infeasible > 300,
+            "{optimal} optimal, {infeasible} infeasible"
+        );
+        assert!(pivots > 1000, "{pivots} dual pivots");
     }
 }

@@ -7,6 +7,15 @@
 //! Node identity breaks heap ties in a fixed order, so a single worker
 //! reproduces the classic sequential best-bound search exactly, and any
 //! worker count returns the same objective on a run to completion.
+//!
+//! Every node LP is the root LP after its presolve, under the node's
+//! bounds: bounds only tighten below the root, so rows redundant at the root
+//! stay redundant and columns fixed there stay fixed. Each worker keeps one
+//! hot simplex tableau and re-optimizes it in place for every node it pops
+//! (bounded dual simplex, [`Tableau::reoptimize`]); the root's optimal
+//! tableau seeds the first worker, so node 0 costs no pivots at all. A
+//! worker solves cold only when it has no tableau yet or the warm start
+//! fails, and counts each such solve in [`SolveStats::cold_restarts`].
 
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -17,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use crate::cancel::CancelToken;
 use crate::model::{Model, VarId, VarKind};
-use crate::simplex::{self, Lp, LpOutcome, Row};
+use crate::simplex::{self, Lp, LpOutcome, Row, Tableau};
 use crate::solution::{MipResult, Solution, SolveStatus};
 use crate::stats::{IncumbentEvent, SolveStats};
 
@@ -175,17 +184,73 @@ struct SearchCtx<'a> {
 }
 
 impl SearchCtx<'_> {
-    /// Solves the LP for the given bounds, accumulating iterations into
-    /// `iters` and mapping numerical failures to [`SolveError`].
-    fn lp(&self, lb: &[f64], ub: &[f64], iters: &mut usize) -> Result<LpOutcome, SolveError> {
+    /// Solves a root-phase LP (hint polish or rounding, every integer
+    /// fixed) for the given bounds, accumulating its work into `work` and
+    /// mapping numerical failures to [`SolveError`].
+    fn lp(&self, lb: &[f64], ub: &[f64], work: &mut Work) -> Result<LpOutcome, SolveError> {
         let (outcome, it) =
             presolved_lp(&self.base_rows, &self.cost, lb, ub, Some(&self.stop_token));
-        *iters += it;
-        if let LpOutcome::Numerical(msg) = &outcome {
-            return Err(SolveError::Numerical(msg.clone()));
-        }
-        Ok(outcome)
+        work.pivots += it;
+        work.lp_solves += 1;
+        numerical_to_err(outcome)
     }
+}
+
+fn numerical_to_err(outcome: LpOutcome) -> Result<LpOutcome, SolveError> {
+    match outcome {
+        LpOutcome::Numerical(msg) => Err(SolveError::Numerical(msg)),
+        other => Ok(other),
+    }
+}
+
+/// Solver work counters, kept per worker (and per `bnb.batch` span) and
+/// folded into [`SolveStats`] at the end.
+#[derive(Debug, Clone, Copy, Default)]
+struct Work {
+    pivots: usize,
+    lp_solves: usize,
+    warm_solves: usize,
+    dual_pivots: usize,
+    cold_restarts: usize,
+}
+
+impl Work {
+    fn add(&mut self, other: Work) {
+        self.pivots += other.pivots;
+        self.lp_solves += other.lp_solves;
+        self.warm_solves += other.warm_solves;
+        self.dual_pivots += other.dual_pivots;
+        self.cold_restarts += other.cold_restarts;
+    }
+
+    fn since(self, earlier: Work) -> Work {
+        Work {
+            pivots: self.pivots - earlier.pivots,
+            lp_solves: self.lp_solves - earlier.lp_solves,
+            warm_solves: self.warm_solves - earlier.warm_solves,
+            dual_pivots: self.dual_pivots - earlier.dual_pivots,
+            cold_restarts: self.cold_restarts - earlier.cold_restarts,
+        }
+    }
+
+    /// Annotates a span with the LP counters.
+    fn annotate(self, span: &mut columba_obs::SpanGuard) {
+        span.attr("lp_solves", self.lp_solves);
+        span.attr("warm_solves", self.warm_solves);
+        span.attr("dual_pivots", self.dual_pivots);
+        span.attr("cold_restarts", self.cold_restarts);
+    }
+}
+
+/// What one search worker owns: its hot tableau (an optimal basis of the
+/// root-presolved LP under the bounds of the last node it solved) and its
+/// work counters.
+#[derive(Default)]
+struct WorkerState {
+    hot: Option<Tableau>,
+    work: Work,
+    /// `work` when the open `bnb.batch` span started.
+    batch_start: Work,
 }
 
 /// Locks a mutex, recovering from poison: a panicking worker (contained by
@@ -217,9 +282,16 @@ struct Search<'a> {
     /// `f64` bits of the incumbent objective (min sense), `INFINITY` when no
     /// incumbent exists; read lock-free on the pruning fast path.
     best_obj: AtomicU64,
+    /// The root LP after presolve; every node LP is this LP under the
+    /// node's bounds.
+    root: &'a Reduced,
+    /// The root LP's optimal tableau, taken by the first worker that needs
+    /// a hot tableau.
+    seed: Mutex<Option<Tableau>>,
     nodes_processed: AtomicUsize,
     nodes_pruned: AtomicUsize,
-    simplex_iterations: AtomicUsize,
+    /// Work of every worker, folded in as each one exits.
+    work: Mutex<Work>,
     /// Worker panics contained by `catch_unwind`; each one loses a subtree,
     /// so any panic downgrades an "optimal" claim to a limit-style status.
     worker_panics: AtomicUsize,
@@ -261,12 +333,18 @@ impl Search<'_> {
     /// Close (and record) one `bnb.batch` span, annotating it with the
     /// sampled incumbent / best-bound pair — the gap trajectory the trace
     /// viewer plots. Only touches the heap lock when actually recording.
-    fn finish_batch(&self, batch: &mut Option<columba_obs::SpanGuard>, nodes: usize) {
+    fn finish_batch(
+        &self,
+        batch: &mut Option<columba_obs::SpanGuard>,
+        nodes: usize,
+        worker: &mut WorkerState,
+    ) {
         let Some(mut guard) = batch.take() else {
             return;
         };
         if guard.is_recording() {
             guard.attr("nodes", nodes);
+            worker.work.since(worker.batch_start).annotate(&mut guard);
             guard.attr("incumbent", self.ctx.sign * self.best_objective());
             if let Some(top) = lock_clean(&self.heap).peek() {
                 guard.attr("bound", self.ctx.sign * top.lp_bound);
@@ -291,6 +369,7 @@ impl Search<'_> {
         let mut busy = Duration::ZERO;
         let mut batch: Option<columba_obs::SpanGuard> = None;
         let mut batch_nodes = 0usize;
+        let mut worker = WorkerState::default();
         loop {
             if self.stop.load(Ordering::Relaxed) {
                 break;
@@ -317,24 +396,26 @@ impl Search<'_> {
             };
             let Some(node) = popped else {
                 // peers are still expanding nodes that may yield children
-                self.finish_batch(&mut batch, batch_nodes);
+                self.finish_batch(&mut batch, batch_nodes, &mut worker);
                 batch_nodes = 0;
                 std::thread::yield_now();
                 continue;
             };
             if batch.is_none() && columba_obs::enabled() {
                 batch = Some(columba_obs::span("bnb.batch"));
+                worker.batch_start = worker.work;
             }
             let t = Instant::now();
             // Contain panics at the node boundary: a crashed worker loses
             // that node's subtree (degrading the search to a limit-style
             // status) but never takes down the process or its peers.
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| self.process(node)));
+            let outcome =
+                std::panic::catch_unwind(AssertUnwindSafe(|| self.process(node, &mut worker)));
             busy += t.elapsed();
             self.active.fetch_sub(1, Ordering::SeqCst);
             batch_nodes += 1;
             if batch_nodes >= BATCH_NODES {
-                self.finish_batch(&mut batch, batch_nodes);
+                self.finish_batch(&mut batch, batch_nodes, &mut worker);
                 batch_nodes = 0;
             }
             match outcome {
@@ -348,19 +429,22 @@ impl Search<'_> {
                 }
                 Err(_) => {
                     self.worker_panics.fetch_add(1, Ordering::Relaxed);
+                    // the panic may have struck mid-pivot
+                    worker.hot = None;
                     // the lost subtree means optimality can no longer be
                     // proven — report Feasible/LimitReached, not Optimal
                     self.hit_limit.store(true, Ordering::Relaxed);
                 }
             }
         }
-        self.finish_batch(&mut batch, batch_nodes);
+        self.finish_batch(&mut batch, batch_nodes, &mut worker);
+        lock_clean(&self.work).add(worker.work);
         busy
     }
 
     /// Process one node: check limits, prune, solve its LP, then branch or
     /// record an incumbent.
-    fn process(&self, open: OpenNode) -> Result<(), SolveError> {
+    fn process(&self, open: OpenNode, worker: &mut WorkerState) -> Result<(), SolveError> {
         let ctx = self.ctx;
         let p = ctx.params;
         // the token covers both the solver's own time limit (capped
@@ -377,7 +461,9 @@ impl Search<'_> {
         }
         let node_index = self.nodes_processed.fetch_add(1, Ordering::Relaxed);
         #[cfg(not(feature = "fault-inject"))]
-        let _ = node_index;
+        let (_, warm_fault) = (node_index, false);
+        #[cfg(feature = "fault-inject")]
+        let mut warm_fault = false;
         #[cfg(feature = "fault-inject")]
         if let Some(fault) = crate::fault::armed_at(node_index) {
             match fault {
@@ -393,6 +479,7 @@ impl Search<'_> {
                     self.stop_at_limit(open);
                     return Ok(());
                 }
+                crate::fault::Fault::WarmResidual => warm_fault = true,
             }
         }
 
@@ -411,17 +498,14 @@ impl Search<'_> {
             return Ok(());
         }
 
-        let (outcome, iters) =
-            presolved_lp(&ctx.base_rows, &ctx.cost, &lb, &ub, Some(&ctx.stop_token));
-        self.simplex_iterations.fetch_add(iters, Ordering::Relaxed);
-        let (x, obj) = match outcome {
-            LpOutcome::Numerical(msg) => return Err(SolveError::Numerical(msg)),
+        let (x, obj) = match self.node_lp(&lb, &ub, worker, warm_fault)? {
+            LpOutcome::Numerical(_) => unreachable!("mapped to Err by node_lp"),
             LpOutcome::TimedOut => {
                 self.stop_at_limit(open);
                 return Ok(());
             }
             LpOutcome::Optimal { x, obj } => (x, obj + ctx.obj_constant),
-            // A child cannot be less bounded than the root in a sound model;
+            // A node cannot be less bounded than the root in a sound model;
             // treat Unbounded as numerically suspect and prune.
             LpOutcome::Infeasible | LpOutcome::Unbounded => {
                 self.nodes_pruned.fetch_add(1, Ordering::Relaxed);
@@ -475,6 +559,46 @@ impl Search<'_> {
         }
         Ok(())
     }
+
+    /// Solves one node's LP: the root-presolved LP under the node's bounds
+    /// `lb..ub` (full variable space), warm from the worker's hot tableau
+    /// when it has one. A warm start that cannot finish (`warm_fault`
+    /// forces this, for tests) falls back to a cold solve, whose optimal
+    /// tableau becomes the worker's new hot tableau.
+    fn node_lp(
+        &self,
+        lb: &[f64],
+        ub: &[f64],
+        worker: &mut WorkerState,
+        warm_fault: bool,
+    ) -> Result<LpOutcome, SolveError> {
+        let root = self.root;
+        let cancel = Some(&self.ctx.stop_token);
+        let small_lb: Vec<f64> = root.keep.iter().map(|&j| lb[j]).collect();
+        let small_ub: Vec<f64> = root.keep.iter().map(|&j| ub[j]).collect();
+        worker.work.lp_solves += 1;
+        if worker.hot.is_none() {
+            worker.hot = lock_clean(&self.seed).take();
+        }
+        if let Some(hot) = worker.hot.as_mut() {
+            let (outcome, pivots) = hot.reoptimize(&root.lp, &small_lb, &small_ub, cancel);
+            worker.work.pivots += pivots;
+            worker.work.dual_pivots += pivots;
+            if !warm_fault && !matches!(outcome, LpOutcome::Numerical(_)) {
+                worker.work.warm_solves += 1;
+                return Ok(root.expand(outcome, lb));
+            }
+            worker.hot = None;
+        }
+        worker.work.cold_restarts += 1;
+        let mut cold = Tableau::new(&root.lp, &small_lb, &small_ub);
+        let (outcome, pivots) = cold.run(&root.lp, cancel);
+        worker.work.pivots += pivots;
+        if matches!(outcome, LpOutcome::Optimal { .. }) {
+            worker.hot = Some(cold);
+        }
+        numerical_to_err(root.expand(outcome, lb))
+    }
 }
 
 pub(crate) fn solve(
@@ -511,7 +635,7 @@ pub(crate) fn solve(
                 crate::model::Sense::Eq => r.rhs.abs() <= 1e-9,
             };
             if !ok {
-                let stats = root_stats(threads, 0, Vec::new(), start);
+                let stats = root_stats(threads, Work::default(), Vec::new(), start);
                 return Ok(finish(
                     SolveStatus::Infeasible,
                     None,
@@ -548,7 +672,7 @@ pub(crate) fn solve(
     };
 
     let mut root_span = columba_obs::span("milp.root");
-    let mut root_iters = 0usize;
+    let mut root_work = Work::default();
     let mut incumbent: Option<(Vec<f64>, f64)> = None; // (values, min-sense obj)
     let mut events: Vec<IncumbentEvent> = Vec::new();
     let offer_root =
@@ -578,7 +702,7 @@ pub(crate) fn solve(
             ub[i] = r;
         }
         if valid {
-            if let LpOutcome::Optimal { x, obj } = ctx.lp(&lb, &ub, &mut root_iters)? {
+            if let LpOutcome::Optimal { x, obj } = ctx.lp(&lb, &ub, &mut root_work)? {
                 offer_root(&mut incumbent, &mut events, x, obj + ctx.obj_constant);
             }
         }
@@ -587,7 +711,7 @@ pub(crate) fn solve(
     // zero node budget + a hint-based incumbent: skip the root relaxation
     // entirely (scalable heuristic mode — the LP polish *is* the answer)
     if params.node_limit == 0 && incumbent.is_some() {
-        let stats = root_stats(threads, root_iters, events, start);
+        let stats = root_stats(threads, root_work, events, start);
         return Ok(finish(
             SolveStatus::Feasible,
             incumbent,
@@ -597,8 +721,20 @@ pub(crate) fn solve(
         ));
     }
 
-    // -- root relaxation --
-    let root_outcome = ctx.lp(&ctx.base_lb, &ctx.base_ub, &mut root_iters)?;
+    // -- root relaxation: presolve once, keep the optimal tableau --
+    let root_lp = presolve(&ctx.base_rows, &ctx.cost, &ctx.base_lb, &ctx.base_ub);
+    let mut root_tableau = None;
+    let root_outcome = match &root_lp {
+        None => LpOutcome::Infeasible,
+        Some(root) => {
+            let mut tableau = Tableau::new(&root.lp, &root.lp.lb, &root.lp.ub);
+            let (outcome, it) = tableau.run(&root.lp, Some(&ctx.stop_token));
+            root_work.pivots += it;
+            root_work.lp_solves += 1;
+            root_tableau = Some(tableau);
+            numerical_to_err(root.expand(outcome, &ctx.base_lb))?
+        }
+    };
     let (root_x, root_bound) = match root_outcome {
         LpOutcome::TimedOut => {
             let status = if incumbent.is_some() {
@@ -606,7 +742,7 @@ pub(crate) fn solve(
             } else {
                 SolveStatus::LimitReached
             };
-            let stats = root_stats(threads, root_iters, events, start);
+            let stats = root_stats(threads, root_work, events, start);
             return Ok(finish(status, incumbent, f64::NEG_INFINITY, sign, stats));
         }
         LpOutcome::Optimal { x, obj } => (x, obj + ctx.obj_constant),
@@ -616,7 +752,7 @@ pub(crate) fn solve(
             } else {
                 SolveStatus::Infeasible
             };
-            let stats = root_stats(threads, root_iters, events, start);
+            let stats = root_stats(threads, root_work, events, start);
             return Ok(finish(status, incumbent, f64::NEG_INFINITY, sign, stats));
         }
         LpOutcome::Unbounded => {
@@ -627,7 +763,7 @@ pub(crate) fn solve(
             } else {
                 SolveStatus::Unbounded
             };
-            let stats = root_stats(threads, root_iters, events, start);
+            let stats = root_stats(threads, root_work, events, start);
             return Ok(finish(status, incumbent, f64::NEG_INFINITY, sign, stats));
         }
         LpOutcome::Numerical(_) => unreachable!("mapped to Err above"),
@@ -641,7 +777,7 @@ pub(crate) fn solve(
             round_ints(root_x, &ctx.int_vars),
             root_bound,
         );
-        let stats = root_stats(threads, root_iters, events, start);
+        let stats = root_stats(threads, root_work, events, start);
         return Ok(finish(
             SolveStatus::Optimal,
             incumbent,
@@ -660,13 +796,16 @@ pub(crate) fn solve(
             lb[i] = r;
             ub[i] = r;
         }
-        if let LpOutcome::Optimal { x, obj } = ctx.lp(&lb, &ub, &mut root_iters)? {
+        if let LpOutcome::Optimal { x, obj } = ctx.lp(&lb, &ub, &mut root_work)? {
             offer_root(&mut incumbent, &mut events, x, obj + ctx.obj_constant);
         }
     }
 
     // -- branch & bound over the shared node pool --
-    root_span.attr("iterations", root_iters);
+    let Some(root_lp) = root_lp else {
+        unreachable!("a bound-infeasible root returned above");
+    };
+    root_span.attr("iterations", root_work.pivots);
     drop(root_span);
     let mut search_span = columba_obs::span("bnb.search");
     let root_time = start.elapsed();
@@ -693,9 +832,11 @@ pub(crate) fn solve(
             events,
         }),
         best_obj: AtomicU64::new(best_bits),
+        root: &root_lp,
+        seed: Mutex::new(root_tableau),
         nodes_processed: AtomicUsize::new(0),
         nodes_pruned: AtomicUsize::new(0),
-        simplex_iterations: AtomicUsize::new(0),
+        work: Mutex::new(Work::default()),
         worker_panics: AtomicUsize::new(0),
         next_id: AtomicU64::new(1),
     };
@@ -767,7 +908,15 @@ pub(crate) fn solve(
         search_span.attr("pruned", search.nodes_pruned.load(Ordering::Relaxed));
     }
     drop(search_span);
+    let mut work = root_work;
+    work.add(
+        search
+            .work
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner),
+    );
     if solve_span.is_recording() {
+        work.annotate(&mut solve_span);
         solve_span.attr(
             "status",
             match status {
@@ -783,7 +932,11 @@ pub(crate) fn solve(
         threads,
         nodes_processed: search.nodes_processed.into_inner(),
         nodes_pruned: search.nodes_pruned.into_inner(),
-        simplex_iterations: root_iters + search.simplex_iterations.into_inner(),
+        simplex_iterations: work.pivots,
+        lp_solves: work.lp_solves,
+        warm_solves: work.warm_solves,
+        dual_pivots: work.dual_pivots,
+        cold_restarts: work.cold_restarts,
         worker_panics: search.worker_panics.into_inner(),
         root_time,
         search_time: total_time - root_time,
@@ -797,14 +950,15 @@ pub(crate) fn solve(
 /// Stats for a solve that ended during the root phase (no search workers).
 fn root_stats(
     threads: usize,
-    simplex_iterations: usize,
+    work: Work,
     incumbents: Vec<IncumbentEvent>,
     start: Instant,
 ) -> SolveStats {
     let elapsed = start.elapsed();
     SolveStats {
         threads,
-        simplex_iterations,
+        simplex_iterations: work.pivots,
+        lp_solves: work.lp_solves,
         root_time: elapsed,
         total_time: elapsed,
         incumbents,
@@ -830,23 +984,49 @@ fn finish(
     }
 }
 
-/// Builds and solves the LP for one node's bounds, with a presolve that:
+/// An LP after presolve at some bounds, in a compressed column space.
+struct Reduced {
+    /// Kept rows and columns; `lp.lb`/`lp.ub` are the presolve bounds.
+    lp: Lp,
+    /// Original column of each compressed column.
+    keep: Vec<usize>,
+    /// Compressed position of each original column (`usize::MAX` when
+    /// the presolve dropped it).
+    pos: Vec<usize>,
+    /// Objective contribution of the fixed columns.
+    fixed_cost: f64,
+}
+
+impl Reduced {
+    /// Maps an outcome of the compressed LP back to the full variable
+    /// space: kept columns from the solution, every other column at its
+    /// lower bound in `lb` (fixed columns have `lb == ub`; unused ones
+    /// appear in no row and cost nothing).
+    fn expand(&self, outcome: LpOutcome, lb: &[f64]) -> LpOutcome {
+        match outcome {
+            LpOutcome::Optimal { x, obj } => LpOutcome::Optimal {
+                x: (0..lb.len())
+                    .map(|j| match self.pos[j] {
+                        usize::MAX => lb[j],
+                        k => x[k],
+                    })
+                    .collect(),
+                obj: obj + self.fixed_cost,
+            },
+            other => other,
+        }
+    }
+}
+
+/// Presolves the LP over `base_rows` at bounds `lb..ub`:
 ///
 /// 1. substitutes fixed variables (`lb == ub`) into every row,
 /// 2. drops rows made redundant by the variable bounds — in particular the
-///    big-M disjunction rows whose indicator has been fixed to 1, which is
-///    what makes warm-started and deep-node LPs small,
-/// 3. detects bound-infeasible rows without calling the simplex,
+///    big-M disjunction rows whose indicator is fixed to 1,
+/// 3. detects bound-infeasible rows without calling the simplex
+///    (returning `None`),
 /// 4. compresses away columns that no remaining row or objective term uses.
-///
-/// Returns the outcome in the *full* variable space.
-fn presolved_lp(
-    base_rows: &[Row],
-    cost: &[f64],
-    lb: &[f64],
-    ub: &[f64],
-    cancel: Option<&CancelToken>,
-) -> (LpOutcome, usize) {
+fn presolve(base_rows: &[Row], cost: &[f64], lb: &[f64], ub: &[f64]) -> Option<Reduced> {
     let n = lb.len();
     let fixed = |j: usize| ub[j] - lb[j] <= 0.0;
     let mut kept_rows: Vec<Row> = Vec::with_capacity(base_rows.len());
@@ -883,7 +1063,7 @@ fn presolved_lp(
             ),
         };
         if infeasible {
-            return (LpOutcome::Infeasible, 0);
+            return None;
         }
         if redundant {
             continue;
@@ -910,7 +1090,7 @@ fn presolved_lp(
     for (new, &old) in keep.iter().enumerate() {
         pos[old] = new;
     }
-    let small = Lp {
+    let lp = Lp {
         lb: keep.iter().map(|&j| lb[j]).collect(),
         ub: keep.iter().map(|&j| ub[j]).collect(),
         cost: keep.iter().map(|&j| cost[j]).collect(),
@@ -924,29 +1104,29 @@ fn presolved_lp(
             .collect(),
     };
     let fixed_cost: f64 = (0..n).filter(|&j| fixed(j)).map(|j| cost[j] * lb[j]).sum();
+    Some(Reduced {
+        lp,
+        keep,
+        pos,
+        fixed_cost,
+    })
+}
 
-    let (outcome, iters) = simplex::solve_lp(&small, cancel);
-    let outcome = match outcome {
-        LpOutcome::Optimal { x, obj } => {
-            // expand to the full space: fixed -> value, unused -> lb
-            let mut full = vec![0.0; n];
-            for j in 0..n {
-                full[j] = if fixed(j) {
-                    lb[j]
-                } else if pos[j] != usize::MAX {
-                    x[pos[j]]
-                } else {
-                    lb[j]
-                };
-            }
-            LpOutcome::Optimal {
-                x: full,
-                obj: obj + fixed_cost,
-            }
-        }
-        other => other,
+/// Presolves and solves cold the LP for the given bounds — the hint and
+/// rounding LPs, where every integer is fixed. Returns the outcome in the
+/// *full* variable space.
+fn presolved_lp(
+    base_rows: &[Row],
+    cost: &[f64],
+    lb: &[f64],
+    ub: &[f64],
+    cancel: Option<&CancelToken>,
+) -> (LpOutcome, usize) {
+    let Some(reduced) = presolve(base_rows, cost, lb, ub) else {
+        return (LpOutcome::Infeasible, 0);
     };
-    (outcome, iters)
+    let (outcome, iters) = simplex::solve_lp(&reduced.lp, cancel);
+    (reduced.expand(outcome, lb), iters)
 }
 
 fn all_integral(x: &[f64], int_vars: &[usize]) -> bool {
@@ -1272,7 +1452,30 @@ mod tests {
         for w in s.incumbents.windows(2) {
             assert!(w[1].objective >= w[0].objective, "{:?}", s.incumbents);
         }
+        // every node LP is either warm or a counted cold solve
+        assert_eq!(
+            s.warm_solves + s.cold_restarts,
+            s.lp_solves - ROOT_PHASE_LPS,
+            "{s:?}"
+        );
+
+        // one worker: the root tableau seeds node 0, so every node LP after
+        // the root is warm and nothing restarts cold
+        let r = branching_model(10)
+            .solve(&SolveParams { threads: 1, ..p() })
+            .unwrap();
+        let s = r.stats();
+        assert_eq!(r.status(), SolveStatus::Optimal);
+        assert_eq!(s.cold_restarts, 0, "{s:?}");
+        assert!(s.nodes_processed > 1, "{s:?}");
+        assert_eq!(s.warm_solves, s.lp_solves - ROOT_PHASE_LPS, "{s:?}");
+        assert!(s.warm_solves > 1, "{s:?}");
+        assert!(s.dual_pivots > 0 && s.dual_pivots < s.simplex_iterations);
     }
+
+    /// LPs `branching_model` solves before the search under the default
+    /// parameters: the root relaxation and the rounding heuristic's LP.
+    const ROOT_PHASE_LPS: usize = 2;
 
     #[test]
     fn resolved_threads_is_positive() {

@@ -1,7 +1,8 @@
 //! Solver telemetry.
 //!
 //! [`SolveStats`] captures everything the branch & bound observed about a
-//! solve: work counters (nodes, prunes, simplex iterations), the incumbent
+//! solve: work counters (nodes, prunes, simplex iterations, LP solves and
+//! how many of them the warm start answered), the incumbent
 //! trajectory, per-phase wall time and per-worker busy time. The layout
 //! crates thread it through to the `columba-s` flow and the bench binaries
 //! print it, so a regression in solver behaviour shows up as numbers, not
@@ -32,6 +33,19 @@ pub struct SolveStats {
     /// Total simplex iterations across every LP solved (root, heuristics
     /// and search).
     pub simplex_iterations: usize,
+    /// LPs solved: the root-phase LPs (hint polish, root relaxation,
+    /// rounding) plus one per branch & bound node that reached its LP.
+    pub lp_solves: usize,
+    /// Node LPs answered by re-optimizing a worker's hot tableau (node 0's
+    /// zero-pivot reuse of the root tableau included).
+    pub warm_solves: usize,
+    /// Pivots taken by warm re-optimizations (dual simplex plus any primal
+    /// clean-up); part of `simplex_iterations`.
+    pub dual_pivots: usize,
+    /// Node LPs solved cold: the worker had no hot tableau yet, or the warm
+    /// start could not finish (infinite dual-feasible bound, dual cycling
+    /// guard, failed residual or bound check).
+    pub cold_restarts: usize,
     /// Worker panics contained at the node boundary. Each one loses that
     /// node's subtree, so a nonzero count degrades an otherwise-complete
     /// search to a limit-style status.
@@ -76,6 +90,10 @@ impl SolveStats {
         self.nodes_processed += other.nodes_processed;
         self.nodes_pruned += other.nodes_pruned;
         self.simplex_iterations += other.simplex_iterations;
+        self.lp_solves += other.lp_solves;
+        self.warm_solves += other.warm_solves;
+        self.dual_pivots += other.dual_pivots;
+        self.cold_restarts += other.cold_restarts;
         self.worker_panics += other.worker_panics;
         self.root_time += other.root_time;
         self.search_time += other.search_time;
@@ -96,10 +114,14 @@ impl fmt::Display for SolveStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} nodes ({} pruned), {} simplex iterations, root {:.3}s + search {:.3}s = {:.3}s on {} thread{}",
+            "{} nodes ({} pruned), {} simplex iterations, {} LPs ({} warm, {} dual pivots, {} cold restarts), root {:.3}s + search {:.3}s = {:.3}s on {} thread{}",
             self.nodes_processed,
             self.nodes_pruned,
             self.simplex_iterations,
+            self.lp_solves,
+            self.warm_solves,
+            self.dual_pivots,
+            self.cold_restarts,
             self.root_time.as_secs_f64(),
             self.search_time.as_secs_f64(),
             self.total_time.as_secs_f64(),
@@ -155,6 +177,10 @@ mod tests {
             nodes_processed: 10,
             nodes_pruned: 3,
             simplex_iterations: 99,
+            lp_solves: 12,
+            warm_solves: 9,
+            dual_pivots: 31,
+            cold_restarts: 1,
             search_time: Duration::from_millis(500),
             total_time: Duration::from_millis(600),
             incumbents: vec![IncumbentEvent {
@@ -168,6 +194,10 @@ mod tests {
         assert!(text.contains("10 nodes"), "{text}");
         assert!(text.contains("3 pruned"), "{text}");
         assert!(text.contains("99 simplex"), "{text}");
+        assert!(
+            text.contains("12 LPs (9 warm, 31 dual pivots, 1 cold restarts)"),
+            "{text}"
+        );
         assert!(text.contains("2 threads"), "{text}");
         assert!(text.contains("7.5"), "{text}");
     }
@@ -179,6 +209,10 @@ mod tests {
             nodes_processed: 10,
             nodes_pruned: 3,
             simplex_iterations: 100,
+            lp_solves: 7,
+            warm_solves: 4,
+            dual_pivots: 20,
+            cold_restarts: 1,
             worker_panics: 1,
             root_time: Duration::from_millis(10),
             search_time: Duration::from_millis(20),
@@ -194,6 +228,10 @@ mod tests {
             nodes_processed: 5,
             nodes_pruned: 2,
             simplex_iterations: 50,
+            lp_solves: 3,
+            warm_solves: 2,
+            dual_pivots: 5,
+            cold_restarts: 0,
             worker_panics: 0,
             root_time: Duration::from_millis(1),
             search_time: Duration::from_millis(2),
@@ -205,6 +243,10 @@ mod tests {
         assert_eq!(a.nodes_processed, 15);
         assert_eq!(a.nodes_pruned, 5);
         assert_eq!(a.simplex_iterations, 150);
+        assert_eq!(a.lp_solves, 10);
+        assert_eq!(a.warm_solves, 6);
+        assert_eq!(a.dual_pivots, 25);
+        assert_eq!(a.cold_restarts, 1);
         assert_eq!(a.worker_panics, 1);
         assert_eq!(a.root_time, Duration::from_millis(11));
         assert_eq!(a.search_time, Duration::from_millis(22));

@@ -88,3 +88,35 @@ fn injected_timeout_preserves_the_warm_start_incumbent() {
     let sol = r.solution().expect("warm-start incumbent survives");
     assert!((sol.objective() - 2.0).abs() < 1e-6);
 }
+
+#[test]
+fn injected_warm_residual_failure_restarts_cold_with_the_same_answer() {
+    let clean = {
+        // armed past every node index: nothing trips, but the guard keeps
+        // faults armed by concurrent tests out of this reference solve
+        let _g = fault::arm(Fault::WarmResidual, usize::MAX);
+        branching_model(12).solve(&params(1)).expect("clean solve")
+    };
+    assert_eq!(clean.status(), SolveStatus::Optimal);
+    assert_eq!(clean.stats().cold_restarts, 0, "{:?}", clean.stats());
+
+    for threads in [1, 4] {
+        // every warm result from node 2 on fails its residual check, so
+        // each of those nodes falls back to a cold solve
+        let _g = fault::arm(Fault::WarmResidual, 2);
+        let r = branching_model(12)
+            .solve(&params(threads))
+            .expect("a failed warm start is not a solver error");
+        assert_eq!(r.status(), SolveStatus::Optimal, "threads {threads}");
+        let s = r.stats();
+        assert!(s.cold_restarts >= 1, "threads {threads}: {s:?}");
+        let (got, want) = (
+            r.solution().unwrap().objective(),
+            clean.solution().unwrap().objective(),
+        );
+        assert!(
+            (got - want).abs() < 1e-6,
+            "threads {threads}: {got} vs {want}"
+        );
+    }
+}

@@ -228,3 +228,170 @@ fn small_integer_milp_matches_brute_force() {
         }
     }
 }
+
+/// A one-dimensional placement instance shaped like the layout models:
+/// units of integer width at integer positions in `[0, chip - width]`,
+/// pairwise non-overlap, minimising weighted positions plus the extent.
+struct Placement {
+    widths: Vec<i64>,
+    weights: Vec<i64>,
+    chip: i64,
+}
+
+impl Placement {
+    fn random(rng: &mut Rng) -> Placement {
+        let units = rng.gen_range(2usize..4);
+        Placement {
+            widths: (0..units).map(|_| rng.gen_range(1i64..=3)).collect(),
+            weights: (0..units).map(|_| rng.gen_range(0i64..=2)).collect(),
+            // sometimes too narrow for every unit: integer infeasible while
+            // the big-M relaxation stays feasible
+            chip: rng.gen_range(2i64..=8),
+        }
+    }
+
+    /// Exhaustive optimum over every integer position vector.
+    fn brute_force(&self) -> Option<f64> {
+        let units = self.widths.len();
+        let mut best: Option<i64> = None;
+        let mut pos = vec![0i64; units];
+        loop {
+            let fits = (0..units).all(|a| pos[a] + self.widths[a] <= self.chip);
+            let apart = (0..units).all(|a| {
+                ((a + 1)..units)
+                    .all(|b| pos[a] + self.widths[a] <= pos[b] || pos[b] + self.widths[b] <= pos[a])
+            });
+            if fits && apart {
+                let extent = (0..units).map(|a| pos[a] + self.widths[a]).max().unwrap();
+                let obj = extent + (0..units).map(|a| self.weights[a] * pos[a]).sum::<i64>();
+                best = Some(best.map_or(obj, |b| b.min(obj)));
+            }
+            // odometer over [0, chip]^units
+            let mut k = 0;
+            while k < units && pos[k] == self.chip {
+                pos[k] = 0;
+                k += 1;
+            }
+            if k == units {
+                break;
+            }
+            pos[k] += 1;
+        }
+        best.map(|b| b as f64)
+    }
+
+    /// The MILP with big-M disjunctions: for each pair, binaries `q_ab`
+    /// and `q_ba` select "a left of b" or "b left of a", at least one holds.
+    fn solve(&self, threads: usize) -> MipResult {
+        let units = self.widths.len();
+        let chip = self.chip as f64;
+        let big_m = chip + 4.0;
+        let mut m = Model::new();
+        let x: Vec<_> = (0..units)
+            .map(|a| m.int_var(format!("x{a}"), 0.0, chip))
+            .collect();
+        let extent = m.num_var("extent", 0.0, chip);
+        for a in 0..units {
+            let w = self.widths[a] as f64;
+            m.constraint(
+                Model::expr().term(1.0, x[a]).term(-1.0, extent),
+                Sense::Le,
+                -w,
+            );
+            for b in (a + 1)..units {
+                let qab = m.bin_var(format!("q{a}_{b}"));
+                let qba = m.bin_var(format!("q{b}_{a}"));
+                // x_a + w_a <= x_b + M (1 - q_ab)
+                m.constraint(
+                    Model::expr()
+                        .term(1.0, x[a])
+                        .term(-1.0, x[b])
+                        .term(big_m, qab),
+                    Sense::Le,
+                    big_m - w,
+                );
+                m.constraint(
+                    Model::expr()
+                        .term(1.0, x[b])
+                        .term(-1.0, x[a])
+                        .term(big_m, qba),
+                    Sense::Le,
+                    big_m - self.widths[b] as f64,
+                );
+                m.constraint(Model::expr().term(1.0, qab).term(1.0, qba), Sense::Ge, 1.0);
+            }
+        }
+        let mut obj = Model::expr().term(1.0, extent);
+        for (&w, &xa) in self.weights.iter().zip(&x) {
+            obj = obj.term(w as f64, xa);
+        }
+        m.minimize(obj);
+        let params = SolveParams {
+            threads,
+            ..SolveParams::default()
+        };
+        m.solve(&params).expect("solver must not fail numerically")
+    }
+}
+
+/// Big-M disjunction models (the layout models' dominant pattern) match
+/// exhaustive enumeration, infeasible ones included, with one worker and
+/// with four.
+#[test]
+fn big_m_disjunction_milp_matches_brute_force() {
+    let mut rng = Rng::seed_from_u64(0xD15C);
+    let mut infeasible = 0;
+    for case in 0..48 {
+        let inst = Placement::random(&mut rng);
+        let expected = inst.brute_force();
+        infeasible += usize::from(expected.is_none());
+        for threads in [1, 4] {
+            let result = inst.solve(threads);
+            match expected {
+                None => assert_eq!(
+                    result.status(),
+                    SolveStatus::Infeasible,
+                    "case {case} threads {threads}"
+                ),
+                Some(opt) => {
+                    assert_eq!(result.status(), SolveStatus::Optimal, "case {case}");
+                    let got = result.solution().unwrap().objective();
+                    assert!(
+                        (got - opt).abs() < 1e-6,
+                        "case {case} threads {threads}: solver {got} vs brute force {opt}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(infeasible >= 4, "only {infeasible} infeasible cases");
+}
+
+/// Integer-infeasible binary models whose LP relaxation is feasible (an
+/// even-coefficient equality with an odd right-hand side below the row's
+/// total), so branch & bound itself must prove infeasibility, with one
+/// worker and with four.
+#[test]
+fn integer_infeasible_binary_milp_is_proven_infeasible() {
+    let mut rng = Rng::seed_from_u64(0x0DD);
+    for case in 0..32 {
+        let n = rng.gen_range(3usize..7);
+        let mut rows = Vec::new();
+        let coefs: Vec<f64> = (0..n)
+            .map(|_| 2.0 * rng.gen_range(1i64..=3) as f64)
+            .collect();
+        let total: f64 = coefs.iter().sum();
+        let odd = 2.0 * rng.gen_range(0i64..(total as i64 / 2)) as f64 + 1.0;
+        rows.push((coefs, Sense::Eq, odd));
+        let cost: Vec<f64> = (0..n).map(|_| coef(&mut rng)).collect();
+        assert_eq!(brute_force_binary(n, &rows, &cost), None, "case {case}");
+        for threads in [1, 4] {
+            let result = solve_binary(n, &rows, &cost, threads);
+            assert_eq!(
+                result.status(),
+                SolveStatus::Infeasible,
+                "case {case} threads {threads}"
+            );
+        }
+    }
+}

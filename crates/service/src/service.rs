@@ -523,6 +523,13 @@ impl Inner {
         };
         self.ring.record(&event);
         self.trace_sink.record(&event);
+        self.wake_event_waiters();
+    }
+
+    /// Moves the event counter and wakes every [`Service::wait_events`]
+    /// caller: after each trace event, and after each terminal state flip,
+    /// which a stream must see even when no event follows it.
+    fn wake_event_waiters(&self) {
         *lock(&self.events_seq) += 1;
         self.clock.mark_wake();
         self.events_cv.notify_all();
@@ -2506,6 +2513,10 @@ fn finalize(
         }
         (state, record, keep, r.class, r.from_cache)
     };
+    // A `Done` job traced its last event (`solved` or `cache_hit`) before
+    // the flip above; without this wake an event stream that read the job
+    // as running would sleep until its next heartbeat.
+    inner.wake_event_waiters();
     if !keep {
         inner.ring.forget(&[id]);
         inner.traces_sampled_out.fetch_add(1, Ordering::Relaxed);

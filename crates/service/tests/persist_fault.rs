@@ -60,7 +60,9 @@ fn journal_io_error_rejects_the_submission() {
         }
         assert!(service.metrics().persist_errors >= 1);
     }
-    // disarmed, the same submission goes through and completes
+    // disarmed, the same submission goes through and completes; the guard
+    // trips no write but keeps a concurrent test's fault out of this one
+    let _quiet = arm_persist_fault(PersistFault::IoError, usize::MAX);
     let id = service.submit_text(TINY).expect("admitted after disarm");
     let status = service
         .wait(id, Duration::from_secs(120))
@@ -84,7 +86,8 @@ fn short_write_tears_the_record_and_recovery_skips_it() {
         service.shutdown();
     }
     // the torn frame is on disk; reopening skips it, counts it, and the
-    // service still works
+    // service still works (under a guard that trips no write, as above)
+    let _quiet = arm_persist_fault(PersistFault::IoError, usize::MAX);
     let service = open(&dir);
     let m = service.metrics();
     assert!(
