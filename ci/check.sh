@@ -6,8 +6,8 @@
 #   lint   cargo fmt + clippy with warnings as errors
 #   test   release build, workspace tests, fault-inject configurations
 #   chaos  crash-point enumeration + fault-injected degrade/heal cycle
-#   smoke  HTTP round-trip, batch + SSE, assay front end, observability,
-#          restart-recovery
+#   smoke  benchmark output checks, HTTP round-trip, batch + SSE, assay
+#          front end, observability, restart-recovery
 #   perf   bench artifacts vs the committed baselines (ci/perf_gate)
 #
 #   ci/check.sh                  # everything
@@ -140,7 +140,20 @@ smoke_poll_done() {
   return 1
 }
 
+# Runs one perfbench workload for a second; fails unless it exits 0 and
+# its JSON result line reports that every output check passed.
+bench_check() {
+  local result
+  result=$(python3 perfbench/run.py --workload "$1" --seed 1 --seconds 1 --trace "$2" | tail -n 1)
+  printf '%s\n' "$result" | grep '"correct": true' >/dev/null \
+    || { echo "perfbench $1 failed its output checks: $result"; exit 1; }
+}
+
 section_smoke() {
+  echo "==> benchmark output checks (perfbench search + polish, 1 s each)"
+  bench_check search 1
+  bench_check polish 0
+
   if ! command -v curl >/dev/null 2>&1; then
     echo "curl not found; skipping the HTTP smoke"
     return 0

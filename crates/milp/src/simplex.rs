@@ -17,6 +17,15 @@
 //! basis is primal feasible again or the LP is proven infeasible. Branch and
 //! bound children differ from their parent by one bound, so this usually
 //! takes a handful of pivots instead of a cold solve's thousands.
+//!
+//! The tableau is stored dense, but its kernels follow the nonzeros: a pivot
+//! eliminates only at the pivot row's nonzero columns and only in rows where
+//! the entering column is nonzero, the entering column is gathered once per
+//! iteration for the ratio test, the basic-value update and the elimination,
+//! and reduced costs are loaded row by row. Every entry a kernel touches gets
+//! the same floating-point operations in the same order as a full dense
+//! sweep, and every entry it skips would only have had an exact zero
+//! subtracted, so pivot sequences and results are bit-identical to one.
 
 use crate::cancel::CancelToken;
 use crate::model::Sense;
@@ -79,9 +88,9 @@ pub(crate) fn solve_lp(lp: &Lp, cancel: Option<&CancelToken>) -> (LpOutcome, usi
     Tableau::new(lp, &lp.lb, &lp.ub).run(lp, cancel)
 }
 
-/// A dense simplex tableau. After [`Tableau::run`] returns
-/// [`LpOutcome::Optimal`] it holds an optimal basis that
-/// [`Tableau::reoptimize`] can start from.
+/// A simplex tableau stored dense and updated sparsely (see the module
+/// doc). After [`Tableau::run`] returns [`LpOutcome::Optimal`] it holds an
+/// optimal basis that [`Tableau::reoptimize`] can start from.
 pub(crate) struct Tableau {
     m: usize,
     /// total columns: structural + slacks + artificials
@@ -100,6 +109,11 @@ pub(crate) struct Tableau {
     ub: Vec<f64>,
     /// reduced costs per column (for the active phase objective)
     d: Vec<f64>,
+    /// nonzero `(row, value)` entries of the entering column, ascending by
+    /// row, as [`Tableau::gather`] last copied them
+    col: Vec<(usize, f64)>,
+    /// scratch: nonzero columns of the current pivot row
+    row_nz: Vec<usize>,
     degenerate_streak: usize,
     iterations: usize,
     cancel: Option<CancelToken>,
@@ -219,6 +233,8 @@ impl Tableau {
             lb: col_lb,
             ub: col_ub,
             d: vec![0.0; ncols],
+            col: Vec::new(),
+            row_nz: Vec::new(),
             degenerate_streak: 0,
             iterations: 0,
             cancel: None,
@@ -226,20 +242,41 @@ impl Tableau {
     }
 
     /// Recomputes the reduced-cost row `d = c - c_B^T T` for cost vector `c`
-    /// (dense over all columns) and returns the basic cost contribution.
+    /// (dense over all columns), subtracting one tableau row at a time.
     fn load_costs(&mut self, c: &[f64]) {
-        for j in 0..self.ncols {
-            let mut dj = c[j];
-            for i in 0..self.m {
-                let cb = c[self.basis[i]];
-                if cb != 0.0 {
-                    dj -= cb * self.t[i * self.ncols + j];
+        let n = self.ncols;
+        self.d.copy_from_slice(c);
+        for (i, &b) in self.basis.iter().enumerate() {
+            let cb = c[b];
+            if cb != 0.0 {
+                for (dj, &a) in self.d.iter_mut().zip(&self.t[i * n..(i + 1) * n]) {
+                    *dj -= cb * a;
                 }
             }
-            self.d[j] = dj;
         }
         for &b in &self.basis {
             self.d[b] = 0.0;
+        }
+    }
+
+    /// Copies the nonzero entries of column `j` into [`Tableau::col`]. The
+    /// ratio tests, [`Tableau::shift_basics`] and [`Tableau::pivot`] read
+    /// that copy, so no tableau entry may change between this call and the
+    /// pivot that brings `j` into the basis.
+    fn gather(&mut self, j: usize) {
+        self.col.clear();
+        for (i, row) in self.t.chunks_exact(self.ncols).enumerate() {
+            if row[j] != 0.0 {
+                self.col.push((i, row[j]));
+            }
+        }
+    }
+
+    /// Moves the basic values as the gathered column's variable moves by
+    /// `step`. A pivot then overwrites the value of its own row.
+    fn shift_basics(&mut self, step: f64) {
+        for &(i, a) in &self.col {
+            self.beta[i] -= a * step;
         }
     }
 
@@ -381,13 +418,8 @@ impl Tableau {
             self.at_upper[j] = to_upper;
             let delta = self.nonbasic_value(j) - old;
             if delta != 0.0 {
-                let n = self.ncols;
-                for i in 0..self.m {
-                    let a = self.t[i * n + j];
-                    if a != 0.0 {
-                        self.beta[i] -= a * delta;
-                    }
-                }
+                self.gather(j);
+                self.shift_basics(delta);
             }
         }
 
@@ -456,6 +488,29 @@ impl Tableau {
         LpOutcome::Optimal { x, obj }
     }
 
+    /// Panics unless every basic column is exactly a unit column (1.0 in
+    /// its row, 0.0 elsewhere) with a reduced cost of exactly 0.0: a pivot
+    /// that skips a row it should eliminate, or eliminates with a stale
+    /// gathered column, breaks one of the two.
+    #[cfg(test)]
+    fn assert_basis_invariants(&self) {
+        for (r, &b) in self.basis.iter().enumerate() {
+            for (i, row) in self.t.chunks_exact(self.ncols).enumerate() {
+                let want = if i == r { 1.0 } else { 0.0 };
+                assert!(
+                    row[b] == want,
+                    "basic column {b} of row {r} holds {} in row {i}",
+                    row[b]
+                );
+            }
+            assert!(
+                self.d[b] == 0.0,
+                "basic column {b} has reduced cost {}",
+                self.d[b]
+            );
+        }
+    }
+
     /// Degenerate pivots to remove artificials from the basis where possible.
     fn drive_out_artificials(&mut self) {
         for r in 0..self.m {
@@ -476,39 +531,50 @@ impl Tableau {
             }
             if let Some(j) = pick {
                 // degenerate pivot: basic artificial sits at 0, so delta = 0
+                self.gather(j);
                 self.pivot(r, j, self.col_value(j));
             }
         }
     }
 
     /// Gauss-Jordan pivot bringing column `j` into the basis at row `r`.
-    /// `new_value` is the entering variable's value after the step.
+    /// `new_value` is the entering variable's value after the step. Column
+    /// `j` must be the one [`Tableau::gather`] copied last: its entries are
+    /// the elimination multipliers.
     fn pivot(&mut self, r: usize, j: usize, new_value: f64) {
         let n = self.ncols;
-        let piv = self.t[r * n + j];
+        let (above, rest) = self.t.split_at_mut(r * n);
+        let (prow, below) = rest.split_at_mut(n);
+        let piv = prow[j];
         debug_assert!(piv.abs() > PIVOT_TOL * 1e-3, "pivot too small: {piv}");
         let inv = 1.0 / piv;
-        for col in 0..n {
-            self.t[r * n + col] *= inv;
+        self.row_nz.clear();
+        for (col, a) in prow.iter_mut().enumerate() {
+            if *a != 0.0 {
+                *a *= inv;
+                self.row_nz.push(col);
+            }
         }
-        self.t[r * n + j] = 1.0; // exact
-        for i in 0..self.m {
-            if i == r {
-                continue;
+        prow[j] = 1.0; // exact
+
+        // a zero entry of the pivot row or the entering column would only
+        // subtract an exact zero, so only nonzero pairs are visited
+        for &(i, f) in &self.col {
+            let row = match i.cmp(&r) {
+                std::cmp::Ordering::Less => &mut above[i * n..(i + 1) * n],
+                std::cmp::Ordering::Equal => continue,
+                std::cmp::Ordering::Greater => &mut below[(i - r - 1) * n..(i - r) * n],
+            };
+            for &col in &self.row_nz {
+                row[col] -= f * prow[col];
             }
-            let f = self.t[i * n + j];
-            if f != 0.0 {
-                for col in 0..n {
-                    self.t[i * n + col] -= f * self.t[r * n + col];
-                }
-                self.t[i * n + j] = 0.0;
-            }
+            row[j] = 0.0;
         }
         // reduced costs
         let f = self.d[j];
         if f != 0.0 {
-            for col in 0..n {
-                self.d[col] -= f * self.t[r * n + col];
+            for &col in &self.row_nz {
+                self.d[col] -= f * prow[col];
             }
             self.d[j] = 0.0;
         }
@@ -567,12 +633,11 @@ impl Tableau {
             };
 
             // ratio test
+            self.gather(j);
             let range = self.ub[j] - self.lb[j]; // may be inf
             let mut t_max = range;
-            let mut leave: Option<(usize, bool)> = None; // (row, leaves_at_upper)
-            let n = self.ncols;
-            for i in 0..self.m {
-                let a = self.t[i * n + j];
+            let mut leave: Option<(usize, bool, f64)> = None; // (row, leaves_at_upper, α)
+            for &(i, a) in &self.col {
                 if a.abs() <= PIVOT_TOL {
                     continue;
                 }
@@ -597,19 +662,19 @@ impl Tableau {
                 let ti = ti.max(0.0);
                 let better = match leave {
                     None => ti < t_max - 1e-12,
-                    Some((li, _)) => {
+                    Some((li, _, la)) => {
                         ti < t_max - 1e-12
                             || (ti <= t_max + 1e-12
                                 && (if bland {
                                     self.basis[i] < self.basis[li]
                                 } else {
-                                    a.abs() > self.t[li * n + j].abs()
+                                    a.abs() > la.abs()
                                 }))
                     }
                 };
                 if ti <= t_max + 1e-12 && better {
                     t_max = ti.min(t_max);
-                    leave = Some((i, !downward));
+                    leave = Some((i, !downward, a));
                 }
             }
 
@@ -624,27 +689,13 @@ impl Tableau {
             }
 
             let delta = if increasing { t_max } else { -t_max };
+            self.shift_basics(delta);
             match leave {
                 None => {
                     // bound flip of the entering column
-                    for i in 0..self.m {
-                        let a = self.t[i * n + j];
-                        if a != 0.0 {
-                            self.beta[i] -= a * delta;
-                        }
-                    }
                     self.at_upper[j] = !self.at_upper[j];
                 }
-                Some((r, leaves_at_upper)) => {
-                    for i in 0..self.m {
-                        if i == r {
-                            continue;
-                        }
-                        let a = self.t[i * n + j];
-                        if a != 0.0 {
-                            self.beta[i] -= a * delta;
-                        }
-                    }
+                Some((r, leaves_at_upper, _)) => {
                     let entering_value = if increasing {
                         (if self.at_upper[j] {
                             self.ub[j]
@@ -752,14 +803,8 @@ impl Tableau {
             let target = if below { self.lb[b] } else { self.ub[b] };
             let a = self.t[r * n + j];
             let step = (self.beta[r] - target) / a;
-            for i in 0..self.m {
-                if i != r {
-                    let f = self.t[i * n + j];
-                    if f != 0.0 {
-                        self.beta[i] -= f * step;
-                    }
-                }
-            }
+            self.gather(j);
+            self.shift_basics(step);
             let entering_value = self.nonbasic_value(j) + step;
             self.at_upper[b] = !below;
             self.pivot(r, j, entering_value);
@@ -1150,7 +1195,8 @@ mod tests {
     /// Differential oracle: after every step of a random sequence of bound
     /// tightenings and relaxations, re-optimizing one kept tableau agrees
     /// with a fresh cold solve on status and, when optimal, on objective
-    /// to 1e-7 relative.
+    /// to 1e-7 relative. Both tableaus keep exact unit basic columns with
+    /// zero reduced costs after every solve.
     #[test]
     fn reoptimize_matches_cold_solves_on_layout_like_lps() {
         let mut rng = Rng::seed_from_u64(0xD0A1);
@@ -1158,6 +1204,7 @@ mod tests {
         for case in 0..60 {
             let p = layout_like_lp(&mut rng);
             let (root, mut hot) = cold(&p, &p.lb, &p.ub);
+            hot.assert_basis_invariants();
             assert!(
                 matches!(root, LpOutcome::Optimal { .. }),
                 "case {case}: root {root:?}"
@@ -1166,8 +1213,10 @@ mod tests {
             for step in 0..40 {
                 random_bound_step(&mut rng, &p, &mut lb, &mut ub);
                 let (warm, taken) = hot.reoptimize(&p, &lb, &ub, None);
+                hot.assert_basis_invariants();
                 pivots += taken;
-                let (fresh, _) = cold(&p, &lb, &ub);
+                let (fresh, fresh_tableau) = cold(&p, &lb, &ub);
+                fresh_tableau.assert_basis_invariants();
                 match (&warm, &fresh) {
                     (LpOutcome::Optimal { obj: w, x }, LpOutcome::Optimal { obj: c, .. }) => {
                         optimal += 1;

@@ -177,3 +177,54 @@ fn search_mode_beats_or_matches_heuristic_objective() {
         SolveStatus::Optimal | SolveStatus::Feasible
     ));
 }
+
+/// Pins the exact search work of a deterministic single-thread solve.
+///
+/// With one thread and a node budget that binds long before the time
+/// budget, the pivot sequence of the simplex is fixed by its pivot rules
+/// and floating-point arithmetic alone, so these counters and objectives
+/// must repeat bit for bit. A kernel rewrite that claims to leave the
+/// arithmetic unchanged must leave them unchanged; only a deliberate
+/// change of a pivot rule or tolerance may move them, and that change
+/// must re-bless the values here and record the new ones in CHANGES.md.
+#[test]
+fn single_thread_search_work_is_pinned() {
+    let flow = Columba::with_options(SynthesisOptions {
+        layout: LayoutOptions {
+            threads: 1,
+            node_limit: 300,
+            time_limit: std::time::Duration::from_secs(600),
+            ..LayoutOptions::default()
+        },
+        ..SynthesisOptions::default()
+    });
+    // (case, simplex iterations, dual pivots, nodes, pruned, objective)
+    let pins = [
+        ("chip4ip", 4_174, 2_130, 300, 58, 70.045),
+        ("columba2_21u", 2_001, 1_369, 300, 64, 76.0025),
+    ];
+    for (case, iterations, dual_pivots, nodes, pruned, objective) in pins {
+        let path = format!("{}/cases/{case}.netlist", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let out = flow
+            .synthesize_text(&text)
+            .unwrap_or_else(|e| panic!("{case}: {e}"));
+        let s = &out.layout.solve;
+        let got = (
+            s.simplex_iterations,
+            s.dual_pivots,
+            s.nodes_processed,
+            s.nodes_pruned,
+        );
+        assert_eq!(
+            got,
+            (iterations, dual_pivots, nodes, pruned),
+            "{case}: (simplex iterations, dual pivots, nodes, pruned)"
+        );
+        let obj = out.layout.objective.expect("search keeps an incumbent");
+        assert!(
+            (obj - objective).abs() < 1e-9,
+            "{case}: objective {obj} != {objective}"
+        );
+    }
+}
